@@ -531,7 +531,12 @@ class Dir1SWProtocol:
 
     # ------------------------------------------------------------ checking
     def invariant_check(self) -> None:
-        """Cross-check caches against the directory (used heavily by tests)."""
+        """Cross-check caches against the directory; raise ProtocolError.
+
+        The one directory/cache state scan: the online checker runs it at
+        every barrier and the model checker after every transition (see
+        :mod:`repro.verify.invariants`).
+        """
         for block, entry in self.directory.entries().items():
             entry.check()
             for holder in entry.sharers:

@@ -71,7 +71,6 @@ def _run_machine(
     flavor: str,
     resume: bool,
     host_profiler=None,
-    verify_metrics=None,
 ) -> RunResult:
     """Shared tail of trace/timing runs: wire checker + checkpointing,
     execute, finalize the checker, attach reports."""
@@ -81,7 +80,6 @@ def _run_machine(
 
         checker = InvariantChecker(
             machine.protocol, strict_cico=strict_verify, label=verify_label,
-            metrics=verify_metrics,
         )
         checker.subscribe(machine.bus)
 
@@ -175,7 +173,6 @@ def trace_program(
         checkpoint_dir=None, checkpoint_name=program.name, flavor="trace",
         resume=False,
         host_profiler=observer.host_profiler if observer is not None else None,
-        verify_metrics=observer.registry if observer is not None else None,
     )
     if observer is not None:
         observer.finalize(result)
@@ -219,7 +216,6 @@ def run_program(
         checkpoint_name=checkpoint_name or program.name, flavor="run",
         resume=resume,
         host_profiler=observer.host_profiler if observer is not None else None,
-        verify_metrics=observer.registry if observer is not None else None,
     )
     if observer is not None:
         observer.finalize(result)

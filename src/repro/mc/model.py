@@ -22,10 +22,13 @@ every message duplicated — the deterministic skeleton of
 identical to the clean application, which is exactly the barrier-deferred
 stall contract PR 4 promises.
 
-Safety properties checked on every transition (same invariants, same names
-as :mod:`repro.verify`): directory/cache agreement (bidirectional),
-SWMR, directive post-conditions, and protocol self-consistency
-(:meth:`Dir1SWProtocol.invariant_check` + :meth:`DirEntry.check`).
+Safety properties checked on every transition are the online checker's
+own definitions from :mod:`repro.verify.invariants` — the access and
+directive post-conditions (:func:`post_condition`) and the
+directory/cache state scan (:meth:`Dir1SWProtocol.invariant_check`) —
+plus fault invariance and protocol self-consistency (an op that raises
+:class:`~repro.errors.ProtocolError`).  The caches here never evict, so
+every read and check-out must leave its line resident.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from repro.cache.state import LineState
 from repro.coherence.directory import DirEntry, DirState
 from repro.coherence.protocol import Dir1SWProtocol, _Pending
 from repro.errors import McError, ProtocolError
+from repro.verify.invariants import post_condition
 
 #: the full op alphabet (excludes "barrier", which is always available)
 OPS = (
@@ -440,90 +443,20 @@ class ProtocolModel:
                 node=node,
                 block=block,
             )
-        violation = self._check_post(proto, action)
-        if violation is not None:
-            return violation
+        finding = post_condition(proto, node, action.op, block)
+        if finding is not None:
+            return Violation(
+                finding.invariant, f"{action.label()}: {finding.message}",
+                node=node, block=block,
+            )
         return self._scan(proto)
 
-    def _check_post(self, proto: Dir1SWProtocol, action: Action) -> Violation | None:
-        """The directive/access post-conditions of :mod:`repro.verify`."""
-        from repro.verify.format import format_cache_line, format_dir_entry
-
-        node, block = action.node, action.block
-        line = proto.caches[node].lookup(block)
-        if action.op == "write":
-            if line is None or line.state is not LineState.EXCLUSIVE:
-                return Violation(
-                    "swmr",
-                    f"after {action.label()} the writer must hold the block "
-                    f"EXCLUSIVE, found {format_cache_line(line)}",
-                    node=node, block=block,
-                )
-            entry = proto.directory.peek(block)
-            if entry is None or entry.state is not DirState.RW or entry.ptr != node:
-                return Violation(
-                    "swmr",
-                    f"after {action.label()} the directory must record the "
-                    f"writer as exclusive owner, found {format_dir_entry(entry)}",
-                    node=node, block=block,
-                )
-            for other, cache in enumerate(proto.caches):
-                if other != node and cache.lookup(block) is not None:
-                    return Violation(
-                        "swmr",
-                        f"after {action.label()} node {other} still holds "
-                        f"{format_cache_line(cache.lookup(block))} — a copy "
-                        f"of a block node {node} just wrote",
-                        node=node, block=block,
-                    )
-        elif action.op in ("read", "check_out_S"):
-            if line is None:
-                return Violation(
-                    "dir-cache-agreement",
-                    f"after {action.label()} the issuer's cache must hold "
-                    f"the block, found absent",
-                    node=node, block=block,
-                )
-        elif action.op == "check_out_X":
-            if line is None or line.state is not LineState.EXCLUSIVE:
-                return Violation(
-                    "directive-postcondition",
-                    f"after {action.label()} the held line must be "
-                    f"EXCLUSIVE, found {format_cache_line(line)}",
-                    node=node, block=block,
-                )
-        elif action.op == "check_in":
-            if line is not None:
-                return Violation(
-                    "directive-postcondition",
-                    f"after {action.label()} the issuer must no longer hold "
-                    f"the block, found {format_cache_line(line)}",
-                    node=node, block=block,
-                )
-        # prefetches are non-binding hints: no post-condition
-        return None
-
     def _scan(self, proto: Dir1SWProtocol) -> Violation | None:
-        """Full directory/cache cross-check + cache-side SWMR scan."""
+        """The directory/cache state scan of :mod:`repro.verify.invariants`."""
         try:
             proto.invariant_check()
         except ProtocolError as exc:
             return Violation("dir-cache-agreement", str(exc))
-        holders: dict[int, list[tuple[int, LineState]]] = {}
-        for node, cache in enumerate(proto.caches):
-            for line in cache.lines():
-                holders.setdefault(line.block, []).append((node, line.state))
-        for block, held in holders.items():
-            if len(held) > 1 and any(
-                state is LineState.EXCLUSIVE for _, state in held
-            ):
-                nodes = sorted(node for node, _ in held)
-                return Violation(
-                    "swmr",
-                    f"block {block} held EXCLUSIVE while nodes {nodes} all "
-                    f"have copies",
-                    node=nodes[0], block=block,
-                )
         return None
 
     # ----------------------------------------------------------- symmetry

@@ -97,11 +97,10 @@ def bench_workload(
     byte-identical across hosts and runs (the determinism contract of the
     parallel sweep); they feed the perf-history ledger instead.
 
-    With ``verify`` each run executes under the online invariant checker
-    (property-cached, so the overhead is a few percent).  Verification
-    observes the run without perturbing it, so BENCH bytes are identical
-    with and without; a violation raises :class:`~repro.errors.VerifyError`
-    and fails the bench.
+    With ``verify`` each run executes under the online invariant checker.
+    Verification observes the run without perturbing it, so BENCH bytes
+    are identical with and without; a violation raises
+    :class:`~repro.errors.VerifyError` and fails the bench.
     """
     from repro.cachier.annotator import Policy
     from repro.harness.variants import PLAIN, build_variants

@@ -2,14 +2,18 @@
 
 :class:`InvariantChecker` subscribes to a run's
 :class:`~repro.obs.events.EventBus` and checks, *while the run executes*,
-that the simulated machine never leaves its legal envelope:
+that the simulated machine never leaves its legal envelope.  The coherence
+invariants themselves are defined once, in :mod:`repro.verify.invariants`,
+and shared with the model checker (:mod:`repro.mc`):
 
 * **SWMR** — at every write, the writer holds the only copy of the block
   (single-writer/multiple-reader, the definition of coherence);
+* **post-conditions** — after a read miss or a check-out the issuer holds
+  the block (EXCLUSIVE after ``check_out_X``), after a check-in it does not;
 * **directory/cache agreement** — at every barrier, the directory's sharer
-  sets, counts and states match what the caches actually hold (a full
-  bidirectional scan via :meth:`Dir1SWProtocol.invariant_check` plus a
-  cache-side exclusive-copy scan);
+  sets, counts and states match what the caches actually hold (the full
+  bidirectional scan :meth:`Dir1SWProtocol.invariant_check`, which also
+  rules out an EXCLUSIVE copy coexisting with any other copy);
 * **CICO discipline** — under Performance CICO a checked-in block should not
   be touched again before a new check-out, and an explicit check-out should
   be balanced by a check-in before the epoch's barrier.  Violations are
@@ -26,8 +30,8 @@ that the simulated machine never leaves its legal envelope:
 
 Failures raise :class:`~repro.errors.VerifyError` carrying the node, epoch
 and block involved plus the recent event chain — per-node ring buffers
-joined with the slow-path transaction ids of PR 3 — so a violation names
-the history that led to it, not just the instant it was noticed.
+joined with the slow-path transaction ids — so a violation names the
+history that led to it, not just the instant it was noticed.
 
 The checker reads the protocol's state as ground truth but never mutates
 it, and costs nothing when not subscribed (the bus's ``wants`` guards).
@@ -38,8 +42,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.cache.state import LineState
-from repro.coherence.directory import DirState
 from repro.coherence.protocol import AccessKind
 from repro.errors import ProtocolError, VerifyError
 from repro.machine.events import (
@@ -50,9 +52,9 @@ from repro.machine.events import (
 )
 from repro.obs import hostprof
 from repro.obs.events import EventBus, EventKind
-from repro.verify.format import format_cache_line, format_dir_entry
+from repro.verify.invariants import Finding, post_condition
 
-__all__ = ["InvariantChecker", "PropertyCache", "VerifyReport", "verify_run"]
+__all__ = ["InvariantChecker", "VerifyReport", "verify_run"]
 
 _OUT = "out"
 _IN = "in"
@@ -118,106 +120,6 @@ def _record_txn(rec: tuple) -> int:
     return getattr(event, "txn", -1)
 
 
-class PropertyCache:
-    """Memoized barrier scan (Stulova et al.-style unobtrusive caching).
-
-    The full directory/cache cross-check at every barrier is the dominant
-    cost of ``--verify``: it re-walks every directory entry and every cache
-    even though most blocks were untouched since the previous barrier.
-    This cache memoizes both scan directions on *version counters* the
-    state carriers already maintain:
-
-    * forward (directory → caches), per block: keyed on
-      ``(entry.version, the sharers' per-block cache versions)`` — an
-      entry whose fields and whose sharers' copies of *this block* are
-      unchanged cannot have changed its verdict, so it is skipped;
-    * reverse (cache → directory), per node: keyed on
-      ``(cache.version, directory.node_version(node))`` — an unchanged
-      node's line walk is skipped and its line snapshot reused for the
-      SWMR holders map.
-
-    Keys are recorded only *after* a block/node passes, so a failure is
-    never memoized, and the counters are monotone, so a state that changes
-    and changes back still forces a recheck (no ABA).  Tampering with
-    entry fields or cache residency through the official mutation API —
-    including single-field writes like ``entry.ptr = 2`` — bumps a version
-    and defeats the memo; that is what the mutation tests pin.
-    """
-
-    def __init__(self, protocol):
-        self.protocol = protocol
-        self._entry_keys: dict[int, tuple] = {}
-        self._node_keys: dict[int, tuple] = {}
-        self._node_lines: dict[int, tuple] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def scan(self) -> dict[int, list[tuple[int, LineState]]]:
-        """The memoized equivalent of :meth:`Dir1SWProtocol.invariant_check`
-        plus the holders map the SWMR scan needs.  Raises the identical
-        :class:`~repro.errors.ProtocolError` diagnostics on disagreement.
-        """
-        proto = self.protocol
-        caches = proto.caches
-        for block, entry in proto.directory.entries().items():
-            key = (
-                entry.version,
-                tuple(caches[h].block_version(block)
-                      for h in sorted(entry.sharers)),
-            )
-            if self._entry_keys.get(block) == key:
-                self.hits += 1
-                continue
-            self.misses += 1
-            entry.check()
-            want = (
-                LineState.EXCLUSIVE
-                if entry.state is DirState.RW
-                else LineState.SHARED
-            )
-            for holder in entry.sharers:
-                line = caches[holder].lookup(block)
-                if line is None:
-                    raise ProtocolError(
-                        f"directory lists node {holder} for block {block} "
-                        f"but its cache has no line"
-                    )
-                if line.state is not want:
-                    raise ProtocolError(
-                        f"block {block}: node {holder} line is {line.state}, "
-                        f"directory says {entry.state}"
-                    )
-            self._entry_keys[block] = key
-        holders: dict[int, list[tuple[int, LineState]]] = {}
-        for node, cache in enumerate(caches):
-            key = (cache.version, proto.directory.node_version(node))
-            lines = self._node_lines.get(node)
-            if self._node_keys.get(node) == key and lines is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-                snap = []
-                for line in cache.lines():
-                    entry = proto.directory.peek(line.block)
-                    if entry is None or node not in entry.sharers:
-                        raise ProtocolError(
-                            f"node {node} caches block {line.block} "
-                            f"unknown to directory"
-                        )
-                    snap.append((line.block, line.state))
-                lines = tuple(snap)
-                self._node_keys[node] = key
-                self._node_lines[node] = lines
-            for block, state in lines:
-                holders.setdefault(block, []).append((node, state))
-        return holders
-
-
 @dataclass
 class VerifyReport:
     """Outcome of one checked run (JSON-able via :meth:`as_dict`)."""
@@ -232,7 +134,7 @@ class VerifyReport:
     events: dict[str, int] = field(default_factory=dict)
     #: CICO discipline findings (warnings unless strict_cico)
     warnings: list[str] = field(default_factory=list)
-    #: property-cache effectiveness ({} when the cache was disabled)
+    #: always ``{}``; kept so readers of the report format keep working
     cache: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -262,18 +164,10 @@ class InvariantChecker:
         strict_cico: bool = False,
         chain_depth: int = 24,
         label: str = "",
-        property_cache: bool = True,
-        metrics=None,
     ):
         self.protocol = protocol
         self.strict_cico = strict_cico
         self.label = label
-        #: barrier-scan memoization (on by default; ``property_cache=False``
-        #: restores the full-rescan behaviour, kept for the conservation
-        #: tests and for debugging the cache itself)
-        self.property_cache = PropertyCache(protocol) if property_cache else None
-        #: optional MetricsRegistry receiving verify.scan/cache counters
-        self.metrics = metrics
         self._shift = protocol.block_size.bit_length() - 1
         n = protocol.num_nodes
         # CICO discipline state, reset at every barrier: block -> _OUT | _IN
@@ -288,16 +182,6 @@ class InvariantChecker:
             deque(maxlen=chain_depth) for _ in range(n)
         ]
         self._txn_log: deque[tuple] = deque(maxlen=16 * chain_depth)
-        # per-write SWMR memo (see _on_access); same flag as the barrier
-        # scan cache so ``property_cache=False`` restores full rechecking
-        self._swmr_keys: dict[int, tuple] | None = (
-            {} if property_cache else None
-        )
-        self._swmr_hits = 0
-        self._swmr_misses = 0
-        self._block_versions = tuple(
-            cache.block_versions for cache in protocol.caches
-        )
         self._counts = {
             "accesses": 0, "hits": 0, "traps": 0, "recalls": 0,
             "messages": 0, "barriers": 0, "directives": 0, "node_done": 0,
@@ -413,43 +297,18 @@ class InvariantChecker:
                 self._txn_log.append(rec)
             if ev.write:
                 self._checks["swmr"] += 1
-                entry = self.protocol.directory.peek(block)
-                memo = self._swmr_keys
-                if memo is not None and entry is not None:
-                    # Version-keyed SWMR memo: the write check reads only
-                    # the directory entry's fields and each cache's copy of
-                    # ``block``.  Entry fields bump ``entry.version`` on any
-                    # write (DirEntry.__setattr__) and every residency or
-                    # state change of a block in a cache bumps that cache's
-                    # per-block counter — so an unchanged key means the
-                    # exact state a previous check passed on, and rogue
-                    # single-field tampering still defeats the memo.
-                    key = (
-                        ev.node,
-                        entry.version,
-                        *[bv.get(block, 0) for bv in self._block_versions],
-                    )
-                    if memo.get(block) == key:
-                        self._swmr_hits += 1
-                    else:
-                        self._swmr_misses += 1
-                        self._check_write(ev, block, entry)
-                        memo[block] = key  # pass verified at these versions
-                else:
-                    self._check_write(ev, block, entry)
-            elif not hit and self.protocol.caches[ev.node].lookup(block) is None:
+                finding = post_condition(self.protocol, ev.node, "write", block)
+                if finding is not None:
+                    self._fail(finding, ev, block, result.txn)
+            elif not hit:
                 # A read HIT needs no recheck: the protocol reported HIT
                 # precisely because lookup found the line in the same
                 # structure we would re-read.  Miss/fault results carry a
                 # real claim — the slow path installed the line — so those
                 # are verified.
-                raise VerifyError(
-                    "dir-cache-agreement",
-                    "after a read miss the reader's cache must hold the "
-                    "installed block",
-                    node=ev.node, epoch=ev.epoch, block=block,
-                    chain=self._chain(ev.node, result.txn),
-                )
+                finding = post_condition(self.protocol, ev.node, "read", block)
+                if finding is not None:
+                    self._fail(finding, ev, block, result.txn)
             # Performance-CICO discipline: touching a block this node
             # explicitly checked in earlier means a premature check-in.
             marks = self._cico[ev.node]
@@ -466,35 +325,13 @@ class InvariantChecker:
             if prof is not None:
                 prof.pop()
 
-    def _check_write(self, ev, block: int, entry) -> None:
-        """The full (unmemoized) SWMR post-write check."""
-        proto = self.protocol
-        line = proto.caches[ev.node].lookup(block)
-        if line is None or line.state is not LineState.EXCLUSIVE:
-            raise VerifyError(
-                "swmr",
-                f"after a write the writer must hold the block "
-                f"EXCLUSIVE, found {format_cache_line(line)}",
-                node=ev.node, epoch=ev.epoch, block=block,
-                chain=self._chain(ev.node, ev.result.txn),
-            )
-        if entry is None or entry.state is not DirState.RW or entry.ptr != ev.node:
-            raise VerifyError(
-                "swmr",
-                f"after a write the directory must record the writer as "
-                f"exclusive owner, found {format_dir_entry(entry)}",
-                node=ev.node, epoch=ev.epoch, block=block,
-                chain=self._chain(ev.node, ev.result.txn),
-            )
-        for other, cache in enumerate(proto.caches):
-            if other != ev.node and cache.lookup(block) is not None:
-                raise VerifyError(
-                    "swmr",
-                    f"node {other} still holds a copy of a block node "
-                    f"{ev.node} just wrote",
-                    node=ev.node, epoch=ev.epoch, block=block,
-                    chain=self._chain(ev.node, ev.result.txn),
-                )
+    def _fail(self, finding: Finding, ev, block: int, txn: int = -1) -> None:
+        """Raise ``finding`` for ``ev`` with its evidence chain."""
+        raise VerifyError(
+            finding.invariant, finding.message,
+            node=ev.node, epoch=ev.epoch, block=block,
+            chain=self._chain(ev.node, txn),
+        )
 
     # ---------------------------------------------------------- directives
     def _on_directive(self, ev) -> None:
@@ -503,32 +340,24 @@ class InvariantChecker:
         self._remember(ev.node, -1, (
             "directive", ev, name, tuple(ev.blockset),
         ))
+        if ev.dkind not in (DIR_CHECK_OUT_S, DIR_CHECK_OUT_X, DIR_CHECK_IN):
+            return  # prefetches are non-binding hints: no post-condition
         proto = self.protocol
         marks = self._cico[ev.node]
-        if ev.dkind in (DIR_CHECK_OUT_S, DIR_CHECK_OUT_X):
-            for block in ev.blockset:
-                marks[block] = _OUT
-                line = proto.caches[ev.node].lookup(block)
-                if (ev.dkind == DIR_CHECK_OUT_X and line is not None
-                        and line.state is not LineState.EXCLUSIVE):
-                    raise VerifyError(
-                        "dir-cache-agreement",
-                        "after check_out_X the held line must be EXCLUSIVE, "
-                        f"found {format_cache_line(line)}",
-                        node=ev.node, epoch=ev.epoch, block=block,
-                        chain=self._chain(ev.node),
-                    )
-        elif ev.dkind == DIR_CHECK_IN:
-            for block in ev.blockset:
-                marks[block] = _IN
-                if proto.caches[ev.node].lookup(block) is not None:
-                    raise VerifyError(
-                        "dir-cache-agreement",
-                        "after check_in the issuer must no longer hold the block",
-                        node=ev.node, epoch=ev.epoch, block=block,
-                        chain=self._chain(ev.node),
-                    )
-        # prefetches are non-binding hints: no post-condition to enforce
+        mark = _IN if ev.dkind == DIR_CHECK_IN else _OUT
+        # The machine issues the blockset in order, so a later block of this
+        # directive that maps to the same cache set may have evicted an
+        # earlier one; only the last block of each set must stay resident.
+        set_index = proto.caches[ev.node].set_index
+        last_in_set = {set_index(block): block for block in ev.blockset}
+        for block in ev.blockset:
+            marks[block] = mark
+            finding = post_condition(
+                proto, ev.node, name, block,
+                resident=last_in_set[set_index(block)] == block,
+            )
+            if finding is not None:
+                self._fail(finding, ev, block)
 
     def _cico_finding(self, message, *, node, epoch, block, txn=-1) -> None:
         if self.strict_cico:
@@ -598,54 +427,21 @@ class InvariantChecker:
             marks.clear()
 
     def _scan_state(self, epoch: int) -> None:
-        """Full directory/cache cross-check + cache-side SWMR scan.
+        """The full directory/cache cross-check.
 
-        With the property cache enabled (the default) blocks and nodes
-        whose version counters are unchanged since the last barrier are
-        skipped; the verdict is identical either way because a pass is
-        only ever memoized together with the versions it was computed at.
+        A passing :meth:`Dir1SWProtocol.invariant_check` also establishes
+        cache-side SWMR (see :mod:`repro.verify.invariants`), so it counts
+        as a check of both.
         """
-        proto = self.protocol
         self._checks["dir-cache-agreement"] += 1
-        pcache = self.property_cache
         try:
-            if pcache is not None:
-                before_hits, before_misses = pcache.hits, pcache.misses
-                holders = pcache.scan()
-                if self.metrics is not None:
-                    self.metrics.counter("verify.scans").inc()
-                    self.metrics.counter("verify.cache_hits").inc(
-                        pcache.hits - before_hits
-                    )
-                    self.metrics.counter("verify.cache_misses").inc(
-                        pcache.misses - before_misses
-                    )
-            else:
-                proto.invariant_check()
-                holders = {}
-                for node, cache in enumerate(proto.caches):
-                    for line in cache.lines():
-                        holders.setdefault(line.block, []).append(
-                            (node, line.state)
-                        )
+            self.protocol.invariant_check()
         except ProtocolError as exc:
             raise VerifyError(
                 "dir-cache-agreement", str(exc), epoch=epoch,
                 chain=self._chain(None),
             ) from exc
         self._checks["swmr"] += 1
-        for block, held in holders.items():
-            if len(held) > 1 and any(
-                state is LineState.EXCLUSIVE for _, state in held
-            ):
-                nodes = sorted(node for node, _ in held)
-                raise VerifyError(
-                    "swmr",
-                    f"block held EXCLUSIVE while nodes {nodes} all have "
-                    f"copies",
-                    node=nodes[0], epoch=epoch, block=block,
-                    chain=self._chain(nodes[0]),
-                )
 
     # ------------------------------------------------------------- finalize
     def finalize(self, result) -> VerifyReport:
@@ -671,23 +467,12 @@ class InvariantChecker:
         return self.report()
 
     def report(self) -> VerifyReport:
-        pcache = self.property_cache
         return VerifyReport(
             label=self.label,
             ok=True,
             checks=dict(self._checks),
             events=dict(self._counts),
             warnings=list(self.warnings),
-            cache=(
-                {
-                    "hits": pcache.hits,
-                    "misses": pcache.misses,
-                    "hit_rate": round(pcache.hit_rate, 4),
-                    "swmr_hits": self._swmr_hits,
-                    "swmr_misses": self._swmr_misses,
-                }
-                if pcache is not None else {}
-            ),
         )
 
     def failure_report(self, exc: VerifyError) -> VerifyReport:

@@ -14,6 +14,8 @@ from repro.errors import VerifyError
 from repro.harness.runner import run_program
 from repro.harness.variants import build_variants
 from repro.lang.interp import Interpreter, SharedStore
+from repro.machine.config import MachineConfig
+from repro.machine.events import DIR_CHECK_OUT_X, EV_BARRIER, EV_DIRECTIVE
 from repro.machine.machine import Machine
 from repro.obs.events import EventBus
 from repro.verify import InvariantChecker, verify_run
@@ -113,3 +115,23 @@ def test_report_as_dict_is_jsonable():
     payload = json.loads(json.dumps(report.as_dict()))
     assert payload["ok"] is True
     assert payload["checks"]["conservation"] == 1
+
+
+def test_multi_block_directive_may_evict_its_own_earlier_block():
+    """On a direct-mapped cache, blocks 0 and 2 share a set: the directive's
+    check-out of block 2 evicts block 0, which the checker must accept,
+    while block 2 itself must still be resident and EXCLUSIVE."""
+    config = MachineConfig(num_nodes=2, cache_size=64, block_size=32, assoc=1)
+    machine = Machine(config)
+    checker = InvariantChecker(machine.protocol, label="evict")
+    checker.subscribe(machine.bus)
+
+    def kernel(nid):
+        if nid == 0:
+            yield (EV_DIRECTIVE, 0, DIR_CHECK_OUT_X, [0, 64], 11)
+        yield (EV_BARRIER, 0, 12)
+
+    result = machine.run(kernel)
+    assert machine.protocol.caches[0].lookup(0) is None
+    assert machine.protocol.caches[0].lookup(2) is not None
+    assert checker.finalize(result).ok

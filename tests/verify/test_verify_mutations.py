@@ -3,9 +3,9 @@ coherence violations and name the right node, epoch and block.
 
 Each test drives a tiny two-node machine with a hand-written kernel whose
 generator body corrupts the protocol state mid-run (a lost invalidation, a
-tampered directory pointer) or violates CICO discipline on purpose, then
-asserts the resulting :class:`VerifyError` carries the correct coordinates
-and a non-empty event chain.
+tampered directory pointer, a rogue cache insert) or violates CICO
+discipline on purpose, then asserts the resulting :class:`VerifyError`
+carries the correct coordinates and a non-empty event chain.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.state import LineState
-from repro.errors import VerifyError
+from repro.coherence.protocol import Dir1SWProtocol
+from repro.errors import ProtocolError, VerifyError
 from repro.machine.config import MachineConfig
 from repro.machine.events import (
     DIR_CHECK_IN,
@@ -23,6 +24,7 @@ from repro.machine.events import (
     EV_REF,
 )
 from repro.machine.machine import Machine
+from repro.obs.events import BarrierEvent, EventBus
 from repro.verify import InvariantChecker
 
 BLOCK_SIZE = 32
@@ -112,6 +114,65 @@ def test_barrier_scan_catches_silent_corruption():
     exc = excinfo.value
     assert exc.invariant in ("swmr", "dir-cache-agreement")
     assert exc.epoch == 0
+
+
+def _flip_rw_pointer(proto):
+    proto.directory.peek(0).ptr = 1  # RW entry now names a non-holder
+
+
+def _rogue_insert(proto):
+    proto.caches[1].insert(0, LineState.SHARED)  # copy the directory never saw
+
+
+def _reader_without_line(proto):
+    proto.directory.add_reader(0, 1)  # sharer with no cache line
+
+
+@pytest.mark.parametrize(
+    "write, tamper, diagnosis",
+    [
+        (True, _flip_rw_pointer, "bad RW entry"),
+        (True, _rogue_insert, "unknown to directory"),
+        (False, _reader_without_line, "but its cache has no line"),
+    ],
+    ids=["rw-pointer-to-non-holder", "rogue-insert", "reader-without-line"],
+)
+def test_barrier_scan_catches_single_field_tampering(write, tamper, diagnosis):
+    """Tampering that bypasses the protocol, with no access afterwards, is
+    caught by the barrier scan with :meth:`invariant_check`'s own text."""
+    machine, _ = _machine()
+
+    def kernel(nid):
+        if nid == 0:
+            yield (EV_REF, 1, 0, write, 11)
+            tamper(machine.protocol)
+            yield (EV_BARRIER, 0, 12)
+        else:
+            yield (EV_BARRIER, 0, 21)
+
+    with pytest.raises(VerifyError) as excinfo:
+        machine.run(kernel)
+    exc = excinfo.value
+    assert exc.invariant == "dir-cache-agreement"
+    assert exc.epoch == 0
+    with pytest.raises(ProtocolError, match=diagnosis) as scan:
+        machine.protocol.invariant_check()
+    assert str(scan.value) in str(exc)
+
+
+def test_corruption_is_caught_on_every_scan():
+    """A corrupt state stays corrupt, so every later barrier fails too."""
+    proto = Dir1SWProtocol(num_nodes=2, cache_size=1024, block_size=32, assoc=2)
+    bus = EventBus()
+    InvariantChecker(proto, label="rescan").subscribe(bus)
+    proto.read(0, 0)
+    _reader_without_line(proto)
+    resume = proto.cost.barrier_cycles
+    for epoch in range(3):
+        with pytest.raises(VerifyError, match="but its cache has no line"):
+            bus.publish(BarrierEvent(
+                epoch=epoch, vt=0, node_pcs={0: 1, 1: 1}, resume=resume,
+            ))
 
 
 def test_seeded_premature_check_in_strict():
