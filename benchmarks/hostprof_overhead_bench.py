@@ -4,8 +4,7 @@ The phase-accounting instrumentation (``repro.obs.hostprof``) sits on the
 simulator's slow paths — bus dispatch, protocol misses, network sends,
 cache flushes — guarded by a single ``ACTIVE is None`` check when
 disabled.  This benchmark pins the *enabled* cost: it runs the matmul
-workload with phase accounting off and on (no sampler — the sampler is
-opt-in and priced separately by its interval) and asserts the relative
+workload with phase accounting off and on and asserts the relative
 slowdown stays under a threshold (CI pins 10%).
 
 Each mode runs one warmup then ``--batches`` timed runs; the per-run cost

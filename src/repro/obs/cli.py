@@ -27,9 +27,9 @@ and ``diff`` compares two baseline directories, exiting non-zero when any
 variant's cycles regressed past the threshold — the CI perf gate.
 
 ``hostprof`` profiles the *simulator itself*: the subsystem × epoch
-host-time decomposition (exactly conserved) plus optional stack sampling
-(``--folded`` for flamegraph stacks, ``--trace-out`` for a Chrome trace
-whose host-time track rides alongside the simulated-time tracks).
+host-time decomposition, exactly conserved (``--json`` for the raw report,
+``--trace-out`` for a Chrome trace whose host-time track rides alongside
+the simulated-time tracks).
 ``history`` maintains the append-only perf ledger
 (``benchmarks/perf_history.jsonl``): trend tables with sparklines, windowed
 host-time regression notes (informational — only cycles gate), an HTML
@@ -378,11 +378,11 @@ def _cmd_hostprof(args) -> int:
     import json as _json
 
     from repro.harness.runner import run_program
-    from repro.obs.hostprof import folded_stacks, render_hostprof
+    from repro.obs.hostprof import render_hostprof
 
     spec, program = _resolve_variant(args.workload, args.variant, args.policy)
     observer = Observer(
-        chrome=bool(args.trace_out), hostprof=True, sampling=args.sampling,
+        chrome=bool(args.trace_out), hostprof=True,
         meta={"name": f"{spec.name}/{args.variant}",
               "workload": args.workload, "variant": args.variant},
     )
@@ -394,22 +394,12 @@ def _cmd_hostprof(args) -> int:
         raise SystemExit("host profiler recorded nothing")
     if args.json:
         print(_json.dumps(report, indent=2, sort_keys=True))
-    elif args.folded:
-        print(folded_stacks(report))
     else:
         print(render_hostprof(
             report, workload=f"{args.workload}/{args.variant}"
         ))
     if args.trace_out:
-        # The stored report keeps only the folded aggregate; the per-sample
-        # track is attached transiently for this export.
-        sampler = observer.host_profiler.sampler
-        if sampler is not None:
-            report["_samples"] = list(sampler.samples)
-        try:
-            write_chrome_trace(obs, args.trace_out)
-        finally:
-            report.pop("_samples", None)
+        write_chrome_trace(obs, args.trace_out)
         print(f"chrome trace with host-time track written to "
               f"{args.trace_out} (open in https://ui.perfetto.dev)")
     return 0
@@ -574,7 +564,7 @@ def _main(argv=None) -> int:
     host_p = sub.add_parser(
         "hostprof",
         help="profile the simulator itself: exactly-conserved subsystem x "
-             "epoch host-time breakdown plus optional stack sampling",
+             "epoch host-time breakdown",
     )
     host_p.add_argument("--workload", default="matmul")
     host_p.add_argument(
@@ -585,14 +575,8 @@ def _main(argv=None) -> int:
         "--policy", default="performance",
         choices=["performance", "programmer"],
     )
-    host_p.add_argument("--sampling", type=float, default=0.005,
-                        metavar="SECONDS",
-                        help="stack-sampling interval (0 disables the "
-                             "sampler; default 0.005)")
     host_p.add_argument("--json", action="store_true",
                         help="emit the structured report as JSON")
-    host_p.add_argument("--folded", action="store_true",
-                        help="emit the sampler's flamegraph folded stacks")
     host_p.add_argument("--trace-out", metavar="PATH",
                         help="write a Chrome trace whose host-time track "
                              "rides alongside the simulated-time tracks")

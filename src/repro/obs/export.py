@@ -84,8 +84,8 @@ def chrome_trace(obs: Observation) -> dict:
     })
     events.extend(obs.trace_events)
     if obs.hostprof is not None:
-        # Host-time tracks ride alongside the simulated-time tracks.  They
-        # use a different clock (µs of host wall-time from run start, vs
+        # The host-time track rides alongside the simulated-time tracks.  It
+        # uses a different clock (µs of host wall-time from run start, vs
         # simulated cycles) — relative placement within the host process is
         # what matters, as the module docstring says for cycles.
         from repro.obs.hostprof import host_trace_events
@@ -113,15 +113,13 @@ def exporting_observer(
     workload: str,
     variant: str,
     obs_dir: str,
-    profile: bool = True,
-    critpath: bool = True,
-    hostprof: bool = False,
-    sampling: float = 0.0,
 ):
     """A fully-armed :class:`~repro.obs.session.Observer` that writes the
     run's Chrome trace and JSONL manifest into ``obs_dir`` on finalize
     (``<workload>-<variant>.trace.json`` / ``.manifest.jsonl``, ``+`` in
-    variant names mapped to ``_``).
+    variant names mapped to ``_``).  The attribution profile and the
+    critical-path report ride along; host profiling stays off, because
+    host time would make the exported bytes differ from run to run.
 
     This is the per-run export path the Figure-6 sweep uses; it lives here
     so pool workers and the serial harness share one code path — the bytes
@@ -142,10 +140,8 @@ def exporting_observer(
             return obs
 
     return _ExportingObserver(
-        profile=profile,
-        critpath=critpath,
-        hostprof=hostprof,
-        sampling=sampling,
+        profile=True,
+        critpath=True,
         meta={"name": f"{workload}/{variant}",
               "benchmark": workload, "variant": variant},
     )

@@ -12,8 +12,7 @@ work has a before/after record.  Every ``repro-obs bench --history`` run
      "host": {"platform": "…", "python": "3.12.3", "cpu_count": 8},
      "workload": "mp3d", "variant": "cachier", "source": "bench",
      "cycles": 123456, "host_seconds": 2.31,
-     "phases": {"machine": 1.2e9, "protocol": 0.6e9},
-     "samples_digest": "…"}
+     "phases": {"machine": 1.2e9, "protocol": 0.6e9}}
 
 Host wall-times are machine-dependent, so they live *only* here — never in
 the BENCH files, whose bytes the parallel-determinism gate compares — and
@@ -85,7 +84,6 @@ def make_entry(
     host_seconds: float | None = None,
     source: str = "bench",
     phases: dict | None = None,
-    samples_digest: str | None = None,
     ts: float | None = None,
     sha: str | None = None,
     host: dict | None = None,
@@ -109,7 +107,6 @@ def make_entry(
             None if host_seconds is None else round(float(host_seconds), 6)
         ),
         "phases": phases,
-        "samples_digest": samples_digest,
     }
 
 

@@ -6,22 +6,21 @@ core speedup" item: before vectorising the interpreter hot paths we need
 to know which subsystem actually burns the time, and afterwards we need
 proof the win stuck (:mod:`repro.obs.history` keeps that proof).
 
-Two coordinated modes, both owned by one :class:`HostProfiler`:
+A :class:`HostProfiler` does *phase accounting* (deterministic, exactly
+conserved).  Hot layers carry lightweight instrumentation points — the
+machine step loop, the protocol slow path, the network send path, cache
+flushes, the event-bus publish path and the invariant checker — that
+push/pop named *phases* on the active profiler.  Accounting is exclusive
+self-time over a region stack: every interval between two consecutive
+``perf_counter_ns`` readings is credited to exactly one (phase, epoch)
+cell, so the subsystem × epoch breakdown sums to total wall time *exactly*
+(integer nanoseconds, no tolerance needed — a property the tests pin).
+:func:`host_trace_events` lays that breakdown out as a host-time
+Chrome-trace track (:data:`HOST_PID`) alongside the simulated-time tracks.
 
-**Phase accounting** (deterministic, exactly conserved).  Hot layers carry
-lightweight instrumentation points — the machine step loop, the protocol
-slow path, the network send path, cache flushes, the event-bus publish
-path and the invariant checker — that push/pop named *phases* on the
-active profiler.  Accounting is exclusive self-time over a region stack:
-every interval between two consecutive ``perf_counter_ns`` readings is
-credited to exactly one (phase, epoch) cell, so the subsystem × epoch
-breakdown sums to total wall time *exactly* (integer nanoseconds, no
-tolerance needed — a property the tests pin).
+Function-level hot spots are stdlib cProfile's job::
 
-**Sampling** (statistical).  A daemon thread samples the profiled thread's
-Python stack at a fixed interval, aggregating flamegraph-style folded
-stacks and a host-time Chrome-trace track (:data:`HOST_PID`) that
-:func:`host_trace_events` merges alongside the simulated-time tracks.
+    python -m cProfile -s tottime -m repro.obs.cli run --workload matmul
 
 Zero-cost disabled mode
 -----------------------
@@ -44,10 +43,7 @@ or, on low-frequency paths, ``with hostprof.perf_region("cache"): ...``
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter_ns
-
-from repro.errors import ObsError
 
 HOSTPROF_VERSION = 1
 
@@ -124,32 +120,24 @@ def deactivate(prof: "HostProfiler | None" = None) -> None:
 
 
 class HostProfiler:
-    """Exactly-conserved phase accounting plus an optional sampler.
+    """Exactly-conserved phase accounting.
 
     Use as a context manager around the code under measurement (the
     harness wraps ``machine.run``)::
 
-        prof = HostProfiler(sampling_interval_s=0.005)
+        prof = HostProfiler()
         with prof.running():
             machine.run(...)
         report = prof.report()
 
-    ``running()`` activates the profiler for the instrumentation points,
-    starts/stops the sampler, and guarantees deactivation on exceptions.
+    ``running()`` activates the profiler for the instrumentation points
+    and guarantees deactivation on exceptions.
     """
 
-    def __init__(self, sampling_interval_s: float = 0.0):
-        if sampling_interval_s < 0:
-            raise ObsError(
-                f"sampling interval must be >= 0, got {sampling_interval_s}"
-            )
+    def __init__(self):
         #: (phase, epoch) -> exclusive self-time in integer ns
         self.cells: dict[tuple[str, int], int] = {}
         self.epoch = 0
-        self.sampler = (
-            SamplingProfiler(sampling_interval_s)
-            if sampling_interval_s else None
-        )
         self._stack: list[str] = []
         self._last = 0  # ns timestamp of the most recent credit
         self._started = False
@@ -170,8 +158,6 @@ class HostProfiler:
         self._stack = ["other"]
         self._last = perf_counter_ns()
         self._t0 = self._last
-        if self.sampler is not None:
-            self.sampler.start()
 
     def stop(self) -> None:
         """Close the window: credit the open region and freeze the total
@@ -186,8 +172,6 @@ class HostProfiler:
             self._stack.pop()
         self._total_ns += now - self._t0
         self._started = False
-        if self.sampler is not None:
-            self.sampler.stop()
 
     def push(self, phase: str) -> None:
         self._credit(perf_counter_ns())
@@ -228,7 +212,7 @@ class HostProfiler:
         epochs: dict[int, dict[str, int]] = {}
         for (phase, epoch), ns in self.cells.items():
             epochs.setdefault(epoch, {})[phase] = ns
-        report = {
+        return {
             "version": HOSTPROF_VERSION,
             "total_ns": self._total_ns,
             "phases": {k: phases[k] for k in sorted(phases)},
@@ -241,11 +225,7 @@ class HostProfiler:
                 for epoch, cells in sorted(epochs.items())
             ],
             "conserved": sum(phases.values()) == self._total_ns,
-            "samples": None,
         }
-        if self.sampler is not None:
-            report["samples"] = self.sampler.report()
-        return report
 
 
 class _Running:
@@ -265,141 +245,12 @@ class _Running:
         return False
 
 
-# ------------------------------------------------------------- sampling
-class SamplingProfiler:
-    """Thread-based statistical profiler of one target thread.
-
-    A daemon thread wakes every ``interval_s`` and reads the target
-    thread's current Python stack via ``sys._current_frames``, folding it
-    into flamegraph ``a;b;c count`` stacks plus a timestamped sample list
-    for the Chrome host-time track.  ``start``/``stop`` are idempotent and
-    exception-safe: a double start is a no-op, a stop without a start is a
-    no-op, and the worker can never outlive ``stop()`` by more than one
-    interval.
-    """
-
-    def __init__(self, interval_s: float = 0.005, max_depth: int = 64):
-        if interval_s <= 0:
-            raise ObsError(
-                f"sampling interval must be > 0, got {interval_s}"
-            )
-        self.interval_s = interval_s
-        self.max_depth = max_depth
-        self.folded: dict[str, int] = {}
-        #: (host-ns since start, innermost frame label) per sample
-        self.samples: list[tuple[int, str]] = []
-        self._target_tid: int | None = None
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-        self._t0 = 0
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self, target_tid: int | None = None) -> None:
-        if self.running:
-            return
-        self._target_tid = (
-            target_tid if target_tid is not None else threading.get_ident()
-        )
-        self._stop.clear()
-        self._t0 = perf_counter_ns()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-hostprof-sampler", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join(timeout=max(1.0, 10 * self.interval_s))
-        self._thread = None
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()
-        return False
-
-    # -------------------------------------------------------- the worker
-    def _run(self) -> None:
-        import sys
-
-        wait = self._stop.wait
-        while not wait(self.interval_s):
-            frame = sys._current_frames().get(self._target_tid)
-            if frame is None:  # target thread exited
-                continue
-            stack = []
-            depth = 0
-            while frame is not None and depth < self.max_depth:
-                code = frame.f_code
-                stack.append(f"{_module_label(code.co_filename)}:"
-                             f"{code.co_name}")
-                frame = frame.f_back
-                depth += 1
-            stack.reverse()
-            key = ";".join(stack)
-            self.folded[key] = self.folded.get(key, 0) + 1
-            self.samples.append(
-                (perf_counter_ns() - self._t0, stack[-1] if stack else "?")
-            )
-
-    # ------------------------------------------------------------ report
-    def report(self) -> dict:
-        return {
-            "interval_s": self.interval_s,
-            "count": len(self.samples),
-            "folded": {k: self.folded[k] for k in sorted(self.folded)},
-            "digest": folded_digest(self.folded),
-        }
-
-
-def _module_label(filename: str) -> str:
-    """``/…/src/repro/coherence/protocol.py`` -> ``repro/coherence/protocol``
-    (non-repro frames keep their bare file name)."""
-    norm = filename.replace("\\", "/")
-    marker = "/repro/"
-    idx = norm.rfind(marker)
-    if idx >= 0:
-        trimmed = "repro/" + norm[idx + len(marker):]
-    else:
-        trimmed = norm.rsplit("/", 1)[-1]
-    return trimmed[:-3] if trimmed.endswith(".py") else trimmed
-
-
-def folded_digest(folded: dict[str, int]) -> str:
-    """Stable sha-256 digest of a folded-stack aggregate (the history
-    ledger stores this so "same code, same hot stacks" is checkable)."""
-    import hashlib
-    import json
-
-    payload = json.dumps(
-        {k: folded[k] for k in sorted(folded)},
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def folded_stacks(report: dict) -> str:
-    """Render a hostprof report's samples as flamegraph folded lines."""
-    samples = report.get("samples") or {}
-    folded = samples.get("folded") or {}
-    return "\n".join(f"{stack} {count}" for stack, count in folded.items())
-
-
 # ---------------------------------------------------------- chrome track
 def host_trace_events(report: dict, run_name: str = "run") -> list[dict]:
     """The host-time Chrome-trace track for one hostprof report.
 
-    One process (:data:`HOST_PID`) with two threads: per-epoch phase spans
-    from the deterministic accounting (thread 0) and the sampler's
-    innermost-frame spans (thread 1).  Timestamps are host *microseconds*
+    One process (:data:`HOST_PID`) whose thread 0 carries the per-epoch
+    phase spans of the deterministic accounting.  Timestamps are host *microseconds*
     from profiler start — a different clock than the simulated-cycle
     tracks, which is fine: the track rides alongside them so relative host
     cost per phase/epoch is visible next to the simulated activity.
@@ -417,10 +268,6 @@ def host_trace_events(report: dict, run_name: str = "run") -> list[dict]:
             "name": "thread_name", "ph": "M", "pid": HOST_PID, "tid": 0,
             "args": {"name": "phase accounting"},
         },
-        {
-            "name": "thread_name", "ph": "M", "pid": HOST_PID, "tid": 1,
-            "args": {"name": "samples"},
-        },
     ]
     # Phase accounting: per epoch, one span per phase, laid end to end in
     # display order — the epoch's host cost decomposed on one timeline.
@@ -437,16 +284,6 @@ def host_trace_events(report: dict, run_name: str = "run") -> list[dict]:
                 "args": {"epoch": epoch["epoch"], "ns": phases[phase]},
             })
             ts_us += dur_us
-    samples = report.get("samples") or {}
-    interval_us = (samples.get("interval_s") or 0) * 1e6
-    # The samples list is not in the stored report (only its aggregate);
-    # live callers pass the profiler's samples via report["_samples"].
-    for t_ns, label in report.get("_samples", ()):
-        events.append({
-            "name": label, "cat": "host-sample", "ph": "X",
-            "ts": round(t_ns / 1000.0, 3), "dur": round(interval_us, 3),
-            "pid": HOST_PID, "tid": 1,
-        })
     return events
 
 
@@ -482,13 +319,6 @@ def render_hostprof(report: dict, workload: str = "") -> str:
         ))
     conserved = "yes" if report.get("conserved") else "NO"
     parts.append(f"conservation: sum(phases) == total_ns: {conserved}")
-    samples = report.get("samples")
-    if samples:
-        parts.append(
-            f"sampler: {samples['count']} samples @ "
-            f"{samples['interval_s'] * 1000:.1f} ms, "
-            f"digest {samples['digest'][:12]}"
-        )
     return "\n".join(parts)
 
 
@@ -498,11 +328,8 @@ __all__ = [
     "HOST_PID",
     "PHASES",
     "HostProfiler",
-    "SamplingProfiler",
     "activate",
     "deactivate",
-    "folded_digest",
-    "folded_stacks",
     "host_trace_events",
     "perf_region",
     "render_hostprof",

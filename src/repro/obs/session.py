@@ -112,9 +112,6 @@ class Observer:
         host-time breakdown lands on ``Observation.hostprof``.  Host time is
         never written into BENCH files (it would break byte-identical
         determinism); it flows to the perf-history ledger instead.
-    sampling:
-        With ``hostprof``, also run the thread-based sampling profiler at
-        this interval in seconds (0 disables sampling).
     """
 
     def __init__(
@@ -127,7 +124,6 @@ class Observer:
         profile: bool = False,
         critpath: bool = False,
         hostprof: bool = False,
-        sampling: float = 0.0,
     ):
         self.bus = bus if bus is not None else EventBus()
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -144,7 +140,7 @@ class Observer:
         if hostprof:
             from repro.obs.hostprof import HostProfiler
 
-            self.host_profiler = HostProfiler(sampling_interval_s=sampling)
+            self.host_profiler = HostProfiler()
         self._tokens: list[int] = []
         self._max_node = -1
         # chrome-mode flow bookkeeping: slow-path events by requesting node,

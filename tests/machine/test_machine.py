@@ -18,6 +18,7 @@ from repro.machine.events import (
     EV_UNLOCK,
 )
 from repro.machine.machine import Machine
+from repro.obs.events import EventKind
 
 BASE = 0x1000_0000
 COST = CostModel()
@@ -25,6 +26,23 @@ COST = CostModel()
 
 def config(nodes=2, **kw):
     return MachineConfig(num_nodes=nodes, cache_size=4096, block_size=32, assoc=2, **kw)
+
+
+def run_recording(kernel):
+    """Run ``kernel`` on a default machine; return its non-hit access
+    events and its barrier events, each in publication order."""
+    misses, barriers = [], []
+
+    def record(event):
+        if event.kind is EventKind.BARRIER:
+            barriers.append(event)
+        elif event.result.kind is not AccessKind.HIT:
+            misses.append(event)
+
+    machine = Machine(config())
+    machine.bus.subscribe((EventKind.ACCESS, EventKind.BARRIER), record)
+    machine.run(kernel)
+    return misses, barriers
 
 
 class TestBasicExecution:
@@ -68,21 +86,13 @@ class TestBasicExecution:
 class TestInterleaving:
     def test_min_clock_node_goes_first(self):
         """Node 1 computes less before its write, so it wins the race."""
-        order = []
-
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                order.append(node)
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                pass
 
         def kernel(nid):
             compute = 5 if nid == 1 else 50
             yield (EV_REF, compute, BASE, True, 1)
 
-        Machine(config(), listener=Listener()).run(kernel)
-        assert order == [1, 0]
+        misses, _ = run_recording(kernel)
+        assert [e.node for e in misses] == [1, 0]
 
 
 class TestBarriers:
@@ -109,21 +119,14 @@ class TestBarriers:
         assert seen == {0: True, 1: True}
 
     def test_listener_sees_barrier_vt_and_pcs(self):
-        events = []
-
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                pass
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                events.append((epoch, vt, dict(node_pcs)))
-
         def kernel(nid):
             yield (EV_REF, 10 + nid, -1, False, -1)
             yield (EV_BARRIER, 0, 42)
 
-        Machine(config(), listener=Listener()).run(kernel)
-        assert events == [(0, 11, {0: 42, 1: 42})]
+        _, barriers = run_recording(kernel)
+        assert [(e.epoch, e.vt, dict(e.node_pcs)) for e in barriers] == [
+            (0, 11, {0: 42, 1: 42})
+        ]
 
     def test_unbalanced_barrier_deadlocks(self):
         def kernel(nid):
@@ -224,23 +227,14 @@ class TestLocks:
 
 class TestListenerMisses:
     def test_listener_sees_misses_not_hits(self):
-        seen = []
-
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                seen.append((node, epoch, addr, pc, result.kind))
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                pass
-
         def kernel(nid):
             if nid == 0:
                 yield (EV_REF, 0, BASE, False, 7)
                 yield (EV_REF, 0, BASE, False, 8)  # hit: not reported
                 yield (EV_REF, 0, BASE, True, 9)  # write fault
 
-        Machine(config(), listener=Listener()).run(kernel)
-        assert seen == [
+        misses, _ = run_recording(kernel)
+        assert [(e.node, e.epoch, e.addr, e.pc, e.result.kind) for e in misses] == [
             (0, 0, BASE, 7, AccessKind.READ_MISS),
             (0, 0, BASE, 9, AccessKind.WRITE_FAULT),
         ]

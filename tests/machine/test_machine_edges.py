@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.coherence.costs import CostModel
+from repro.coherence.protocol import AccessKind
 from repro.errors import MachineError
 from repro.machine.config import MachineConfig
 from repro.machine.events import (
@@ -19,6 +20,7 @@ from repro.machine.events import (
     EV_UNLOCK,
 )
 from repro.machine.machine import Machine
+from repro.obs.events import EventKind
 
 BASE = 0x1000_0000
 
@@ -26,6 +28,20 @@ BASE = 0x1000_0000
 def config(nodes=2, **kw):
     return MachineConfig(num_nodes=nodes, cache_size=4096, block_size=32,
                          assoc=2, **kw)
+
+
+def miss_order(kernel) -> list[int]:
+    """The node of every non-hit access of one run, in simulation order."""
+    order = []
+
+    def record(event):
+        if event.result.kind is not AccessKind.HIT:
+            order.append(event.node)
+
+    machine = Machine(config())
+    machine.bus.subscribe((EventKind.ACCESS,), record)
+    machine.run(kernel)
+    return order
 
 
 class TestDeterminism:
@@ -135,38 +151,21 @@ class TestComputeDefer:
     def test_action_order_by_post_compute_clock(self):
         """A node with heavy compute before its reference must lose the
         race to a node with light compute, regardless of node ids."""
-        order = []
-
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                order.append(node)
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                pass
 
         def kernel(nid):
             compute = [100, 7][nid]
             yield (EV_REF, compute, BASE, True, 1)
 
-        Machine(config(), listener=Listener()).run(kernel)
-        assert order == [1, 0]
+        assert miss_order(kernel) == [1, 0]
 
     def test_interleaved_fairness(self):
         """Two equal-rate nodes alternate rather than one running ahead."""
-        order = []
-
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                order.append(node)
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                pass
 
         def kernel(nid):
             for i in range(4):
                 yield (EV_REF, 10, BASE + 32 * (nid * 4 + i), False, i)
 
-        Machine(config(), listener=Listener()).run(kernel)
+        order = miss_order(kernel)
         # Neither node gets more than one access ahead.
         counts = {0: 0, 1: 0}
         for node in order:

@@ -1,5 +1,6 @@
 """CLI surface: ``repro-obs profile`` golden output, ``bench``/``diff``
-round-trip, and ``summarize`` robustness on damaged manifests."""
+round-trip, ``hostprof`` conservation, and ``summarize`` robustness on
+damaged manifests."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 from repro.errors import ObsError
 from repro.obs.cli import main
 from repro.obs.export import read_manifest
+from repro.obs.hostprof import HOST_PID
 
 GOLDEN = Path(__file__).parent / "golden" / "profile_mp3d_plain.txt"
 
@@ -68,6 +70,22 @@ class TestBenchAndDiffCommands:
     def test_diff_requires_baseline_files(self, tmp_path):
         with pytest.raises(SystemExit, match="no BENCH"):
             main(["diff", "--baseline", str(tmp_path)])
+
+
+class TestHostprofCommand:
+    def test_json_and_trace_conserve_host_time(self, tmp_path, capsys):
+        trace_path = tmp_path / "host.trace.json"
+        assert main(["hostprof", "--workload", "mp3d", "--variant", "plain",
+                     "--json", "--trace-out", str(trace_path)]) == 0
+        # stdout is the JSON report, then the trace-written notice
+        report, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+        assert report["conserved"] is True
+        assert "samples" not in report
+        trace = json.loads(trace_path.read_text())
+        spans = [e for e in trace["traceEvents"]
+                 if e["pid"] == HOST_PID and e["ph"] == "X"]
+        assert spans and all(e["tid"] == 0 for e in spans)
+        assert sum(e["args"]["ns"] for e in spans) == report["total_ns"]
 
 
 class TestSummarizeRobustness:

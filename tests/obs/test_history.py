@@ -22,6 +22,17 @@ def entry(workload="mp3d", variant="plain", cycles=1000, host_seconds=None,
 
 
 # ------------------------------------------------------------- ledger I/O
+#: a ledger line as written before entries lost their always-null
+#: stack-sampler digest field; old ledgers must keep reading
+OLD_LEDGER_LINE = (
+    '{"cycles": 1100, "git_sha": "0ld5ha1", "host": {"cpu_count": 1, '
+    '"machine": "x", "platform": "test", "python": "3"}, '
+    '"host_seconds": 0.5, "phases": null, "samples_digest": null, '
+    '"source": "bench", "ts": 0.5, "variant": "plain", "version": 1, '
+    '"workload": "mp3d"}\n'
+)
+
+
 def test_append_and_read_roundtrip(tmp_path):
     path = str(tmp_path / "ledger.jsonl")
     assert hist.read_history(path) == []
@@ -32,6 +43,14 @@ def test_append_and_read_roundtrip(tmp_path):
     entries = hist.read_history(path)
     assert [e["cycles"] for e in entries] == [1000, 1000, 900]
     assert all(e["version"] == hist.HISTORY_VERSION for e in entries)
+
+    old = tmp_path / "old.jsonl"
+    old.write_text(OLD_LEDGER_LINE)
+    assert hist.append_entries(str(old), [entry(cycles=900)]) == 2
+    entries = hist.read_history(str(old))
+    assert [e["cycles"] for e in entries] == [1100, 900]
+    text = hist.render_trends(entries)
+    assert "mp3d" in text and "900" in text
 
 
 def test_truncated_trailing_line_is_salvaged(tmp_path):

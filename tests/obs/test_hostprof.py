@@ -1,20 +1,16 @@
-"""Host profiler: exact conservation, zero-cost disabled mode, sampler."""
+"""Host profiler: exact conservation, zero-cost disabled mode, trace track."""
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
 
-from repro.errors import ObsError
 from repro.obs import hostprof
 from repro.obs.hostprof import (
     HOST_PID,
     PHASES,
     HostProfiler,
-    SamplingProfiler,
-    folded_digest,
     host_trace_events,
     perf_region,
     render_hostprof,
@@ -130,47 +126,6 @@ def test_deactivate_only_clears_its_own_profiler():
     assert hostprof.ACTIVE is None
 
 
-def test_negative_sampling_interval_rejected():
-    with pytest.raises(ObsError):
-        HostProfiler(sampling_interval_s=-1.0)
-    with pytest.raises(ObsError):
-        SamplingProfiler(interval_s=0)
-
-
-# ---------------------------------------------------------------- sampler
-def test_sampler_idempotent_start_stop_under_exceptions():
-    sampler = SamplingProfiler(interval_s=0.001)
-    sampler.stop()  # stop before start: no-op
-    assert not sampler.running
-    try:
-        sampler.start()
-        sampler.start()  # double start: no-op, single worker thread
-        assert sampler.running
-        raise RuntimeError("boom")
-    except RuntimeError:
-        pass
-    finally:
-        sampler.stop()
-        sampler.stop()
-    assert not sampler.running
-    # no stray sampler thread survives
-    names = [t.name for t in threading.enumerate()]
-    assert "repro-hostprof-sampler" not in names
-
-
-def test_sampler_collects_stacks_and_digest_is_stable():
-    sampler = SamplingProfiler(interval_s=0.001)
-    with sampler:
-        t0 = time.perf_counter()
-        while time.perf_counter() - t0 < 0.05:
-            spin(1000)
-    report = sampler.report()
-    assert report["count"] > 0
-    assert report["folded"]
-    assert report["digest"] == folded_digest(sampler.folded)
-    assert folded_digest({"a;b": 1}) != folded_digest({"a;b": 2})
-
-
 # ------------------------------------------------------------- rendering
 def test_host_trace_events_layout():
     prof = HostProfiler()
@@ -182,6 +137,7 @@ def test_host_trace_events_layout():
             spin()
     events = host_trace_events(prof.report(), "demo")
     assert all(e["pid"] == HOST_PID for e in events)
+    assert {e["tid"] for e in events} == {0}  # one thread: phase accounting
     spans = [e for e in events if e.get("ph") == "X"]
     assert spans and all(e["tid"] == 0 for e in spans)
     # spans lie end to end: each epoch's phases decompose one timeline
